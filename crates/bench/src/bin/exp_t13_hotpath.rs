@@ -11,12 +11,11 @@
 //! weak-cell kernels and the hammer fast-forward underneath) changes
 //! throughput, never bytes.
 //!
-//! The per-phase wall-clock/ops breakdown comes from the `perf` registry
-//! (enabled for the duration of the run) and lands, together with
-//! trials/sec and the speedup vs the pinned pre-PR baseline, in the
-//! committed `BENCH_hotpath.json` series. The run entry is then parsed
-//! back through `campaign::json` and shape-checked, so every CI smoke run
-//! asserts the bench file round-trips.
+//! Trials/sec of both cells and the speedup vs the pinned pre-PR baseline
+//! land in the committed `BENCH_hotpath.json` series. The run entry is
+//! then parsed back through `campaign::json` and shape-checked, so every
+//! CI smoke run asserts the bench file round-trips. The per-phase and
+//! per-layer split of the same workload is `perfbench --trace 1`'s job.
 
 use std::time::Instant;
 
@@ -47,23 +46,10 @@ fn fingerprint(report: &AttackReport) -> u64 {
     fnv1a(format!("{report:?}").as_bytes())
 }
 
-/// Folds the `phase.*` / `dram.*` perf registry snapshot into
-/// timing metrics under a cell prefix and returns the rows printed to the
-/// stdout breakdown table.
-fn record_phases(prefix: &str, stats: &[(&'static str, perf::PhaseStats)], summary: &mut Summary) {
-    for (key, stat) in stats {
-        if !(key.starts_with("phase.") || key.starts_with("dram.")) {
-            continue;
-        }
-        summary.timing_metric(&format!("{prefix}.{key}.wall_s"), stat.wall_secs());
-        summary.timing_metric(&format!("{prefix}.{key}.ops"), stat.ops as f64);
-    }
-}
-
 fn main() {
     banner(
         "T13: attack hot-path throughput",
-        "five-phase attack on forked machines: direct vs template-memoized (trials/sec, per-phase breakdown)",
+        "five-phase attack on forked machines: direct vs template-memoized (trials/sec)",
     );
     let cli = CampaignCli::parse();
     let campaign = cli.campaign(64, 1);
@@ -74,10 +60,8 @@ fn main() {
 
     let warm = SimMachine::new(attack_config(campaign.seed).machine.clone()).snapshot();
     let trials = u64::from(campaign.trials);
-    perf::enable();
 
     // Direct: every trial pays the full template sweep.
-    perf::reset();
     let start = Instant::now();
     let direct: Vec<u64> = (0..trials)
         .map(|t| {
@@ -86,12 +70,10 @@ fn main() {
         })
         .collect();
     let direct_wall = start.elapsed();
-    let direct_stats = perf::snapshot();
 
     // Memoized: one shared memo; the sweep runs once, later trials replay
     // its recorded post-sweep state (the seed is not part of the memo key —
     // the sweep never reads the attacker RNG).
-    perf::reset();
     let mut memo = TemplateMemo::new();
     let start = Instant::now();
     let memoized: Vec<u64> = (0..trials)
@@ -105,8 +87,6 @@ fn main() {
         })
         .collect();
     let memo_wall = start.elapsed();
-    let memo_stats = perf::snapshot();
-    perf::disable();
 
     // The differential guarantee, asserted on every run: memoization (and
     // the fast kernels below it) changes throughput, never results.
@@ -148,17 +128,6 @@ fn main() {
         "\ndirect: {direct_tps:.1} trials/s   memoized: {memo_tps:.1} trials/s   \
          pre-PR baseline: {PRE_PR_BASELINE_TPS:.1} trials/s   speedup vs pre-PR: {speedup_vs_pre_pr:.1}x"
     );
-    println!("\nper-phase breakdown (memoized cell):");
-    for (key, stat) in &memo_stats {
-        if key.starts_with("phase.") || key.starts_with("dram.") {
-            println!(
-                "  {key:<28} {:>9.3}s  {:>14} ops  {:>5} calls",
-                stat.wall_secs(),
-                stat.ops,
-                stat.calls
-            );
-        }
-    }
 
     summary.timing_metric("direct_trials_per_s", direct_tps);
     summary.timing_metric("memoized_trials_per_s", memo_tps);
@@ -172,8 +141,6 @@ fn main() {
             0.0
         },
     );
-    record_phases("direct", &direct_stats, &mut summary);
-    record_phases("memo", &memo_stats, &mut summary);
     if let Some(pr) = cli.pr_label() {
         summary.pr(&pr);
     }

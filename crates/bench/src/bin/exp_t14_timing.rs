@@ -26,9 +26,9 @@
 //!
 //! The binary also runs the DRAMA-style latency probe against both bank
 //! mapping functions and asserts it recovers the configured oracle. Run
-//! metrics (suppression ratios, bypass cost, per-phase simulated nanos)
-//! land in the committed `BENCH_timing.json` series, which is parsed
-//! back through `campaign::json` and shape-checked on every invocation.
+//! metrics (suppression ratios, bypass cost, activation headroom) land in
+//! the committed `BENCH_timing.json` series, which is parsed back through
+//! `campaign::json` and shape-checked on every invocation.
 
 use campaign::{banner, bench_path, fnv1a, scenario, CampaignCli, Json, Summary, Table};
 use dram::{MappingKind, ParaParams, RfmParams};
@@ -240,11 +240,7 @@ fn main() {
         .iter()
         .map(|cell| scenario(cell.name, move |seed| run_cell(cell, seed)))
         .collect();
-    perf::enable();
-    perf::reset();
     let result = campaign.run(&cells);
-    let stats = perf::snapshot();
-    perf::disable();
 
     let untimed = &result.cell("untimed").expect("untimed cell").trials;
     let timed = &result.cell("timed").expect("timed cell").trials;
@@ -366,12 +362,6 @@ fn main() {
         "mean_timed_headroom",
         mean(timed.iter().filter_map(|r| r.hammer_rate_headroom)),
     );
-    for (key, stat) in &stats {
-        if key.starts_with("phase.") || key.starts_with("dram.") {
-            summary.timing_metric(&format!("{key}.wall_s"), stat.wall_secs());
-            summary.timing_metric(&format!("{key}.ops"), stat.ops as f64);
-        }
-    }
     if let Some(pr) = cli.pr_label() {
         summary.pr(&pr);
     }

@@ -7,7 +7,7 @@
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// An aligned ASCII table that can also persist itself as CSV.
 ///
@@ -109,12 +109,14 @@ impl Table {
     }
 }
 
-/// The `results/` directory at the workspace root (created on demand).
+/// The `results/` directory at the root of the workspace enclosing the
+/// current directory (created on demand).
 ///
 /// # Panics
 ///
-/// Panics with a clear diagnostic if `results` exists but is not a
-/// directory (e.g. a stray file of that name), or if it cannot be created.
+/// Panics with a clear diagnostic if the current directory is not inside a
+/// Cargo workspace, if `results` exists but is not a directory (e.g. a
+/// stray file of that name), or if it cannot be created.
 pub fn results_dir() -> PathBuf {
     let dir = workspace_root().join("results");
     if let Err(e) = ensure_dir(&dir) {
@@ -158,13 +160,35 @@ pub fn persist(name: &str, table: &Table, summary: &mut crate::Summary) {
     summary.table(name, table);
 }
 
+/// The workspace root outputs are written under, found by walking up from
+/// the current directory (see [`find_workspace_root`]).
+///
+/// # Panics
+///
+/// Panics, naming the start directory, when no enclosing workspace exists:
+/// there is no sensible place to write artifacts, so it fails rather than
+/// guess.
 pub(crate) fn workspace_root() -> PathBuf {
-    // This crate lives at <root>/crates/campaign.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf()
+    let cwd = std::env::current_dir().expect("current directory is readable");
+    find_workspace_root(&cwd).unwrap_or_else(|| {
+        panic!(
+            "no Cargo.toml declaring [workspace] in {} or any parent directory; \
+             run from inside the ExplFrame checkout",
+            cwd.display()
+        )
+    })
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` declares a
+/// `[workspace]` table, or `None` if no ancestor has one.
+fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Prints a standard experiment banner.
@@ -218,6 +242,31 @@ mod tests {
         let err = ensure_dir(&file).unwrap_err();
         assert!(err.to_string().contains("not a directory"), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_manifest_declaring_a_workspace() {
+        let tree = std::env::temp_dir().join(format!("campaign-root-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&tree);
+        let member = tree.join("ws/crates/member/src");
+        let nested = tree.join("ws/tools/nested");
+        fs::create_dir_all(&member).unwrap();
+        fs::create_dir_all(&nested).unwrap();
+        fs::write(tree.join("ws/Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        // A member manifest only inherits workspace keys; it is not a root.
+        fs::write(
+            tree.join("ws/crates/member/Cargo.toml"),
+            "[package]\nname = \"member\"\n\n[lints]\nworkspace = true\n",
+        )
+        .unwrap();
+        fs::write(nested.join("Cargo.toml"), "[package]\n\n[workspace]\n").unwrap();
+
+        assert_eq!(find_workspace_root(&member), Some(tree.join("ws")));
+        assert_eq!(find_workspace_root(&tree.join("ws")), Some(tree.join("ws")));
+        assert_eq!(find_workspace_root(&nested), Some(nested.clone()));
+        // Outside any workspace in the tree the search walks on past it.
+        assert!(find_workspace_root(&tree).map_or(true, |root| !root.starts_with(&tree)));
+        let _ = fs::remove_dir_all(&tree);
     }
 
     #[test]

@@ -244,8 +244,12 @@ impl Summary {
 /// Most recent runs kept in a `BENCH_*.json` series.
 pub const BENCH_RUNS_CAP: usize = 32;
 
-/// Path of the committed bench series `BENCH_<stem>.json` at the workspace
-/// root.
+/// Path of the committed bench series `BENCH_<stem>.json` at the root of
+/// the workspace enclosing the current directory.
+///
+/// # Panics
+///
+/// Panics if the current directory is not inside a Cargo workspace.
 #[must_use]
 pub fn bench_path(stem: &str) -> PathBuf {
     crate::report::workspace_root().join(format!("BENCH_{stem}.json"))

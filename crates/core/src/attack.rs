@@ -23,6 +23,21 @@ use crate::events::{NullObserver, Observer};
 use crate::pipeline::Pipeline;
 use crate::template::TemplateMemo;
 
+/// How the attack driver runs the templating phase.
+enum Sweep<'a> {
+    /// One sweep with the configured strategy.
+    Fixed,
+    /// Escalate and re-sweep when the first sweep comes back empty.
+    Adaptive,
+    /// One sweep served through a [`TemplateMemo`] keyed on the snapshot
+    /// the machine was forked from. Building the pipeline does not touch
+    /// the machine and templating is the first phase, so the fork source
+    /// *is* the pre-sweep state — keying on it lets memo hits compare
+    /// against the caller's capture by shared structure instead of
+    /// re-snapshotting every trial.
+    Memo(&'a MachineSnapshot, &'a mut TemplateMemo),
+}
+
 /// Why an attack run ended.
 #[must_use = "inspect the outcome to distinguish key recovery from failure modes"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,8 +160,7 @@ impl ExplFrame {
     ///
     /// See [`Self::run`].
     pub fn run_on(&self, machine: &mut SimMachine) -> Result<AttackReport, AttackError> {
-        let mut observer = NullObserver;
-        self.run_on_traced(machine, &mut observer)
+        self.drive(machine, &mut NullObserver, Sweep::Fixed)
     }
 
     /// Runs the attack on a machine forked from `snapshot` — the warm-pool
@@ -181,25 +195,7 @@ impl ExplFrame {
         memo: &mut TemplateMemo,
     ) -> Result<AttackReport, AttackError> {
         let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.drive(&mut machine, &mut observer, false, Some((snapshot, memo)))
-    }
-
-    /// [`run_adaptive_snapshot`](Self::run_adaptive_snapshot) through a
-    /// [`TemplateMemo`] (see [`Self::run_snapshot_memo`]); an escalating
-    /// run memoizes both sweeps.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_adaptive_snapshot_memo(
-        &self,
-        snapshot: &MachineSnapshot,
-        memo: &mut TemplateMemo,
-    ) -> Result<AttackReport, AttackError> {
-        let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.drive(&mut machine, &mut observer, true, Some((snapshot, memo)))
+        self.drive(&mut machine, &mut NullObserver, Sweep::Memo(snapshot, memo))
     }
 
     /// [`run_adaptive`](Self::run_adaptive) on a machine forked from
@@ -213,8 +209,7 @@ impl ExplFrame {
         snapshot: &MachineSnapshot,
     ) -> Result<AttackReport, AttackError> {
         let mut machine = snapshot.fork();
-        let mut observer = NullObserver;
-        self.run_adaptive_on_traced(&mut machine, &mut observer)
+        self.drive(&mut machine, &mut NullObserver, Sweep::Adaptive)
     }
 
     /// [`run`](Self::run) with an [`Observer`] receiving every phase event
@@ -225,20 +220,7 @@ impl ExplFrame {
     /// See [`Self::run`].
     pub fn run_traced(&self, observer: &mut dyn Observer) -> Result<AttackReport, AttackError> {
         let mut machine = SimMachine::new(self.config.machine.clone());
-        self.run_on_traced(&mut machine, observer)
-    }
-
-    /// [`run_on`](Self::run_on) with an [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_on_traced(
-        &self,
-        machine: &mut SimMachine,
-        observer: &mut dyn Observer,
-    ) -> Result<AttackReport, AttackError> {
-        self.drive(machine, observer, false, None)
+        self.drive(&mut machine, observer, Sweep::Fixed)
     }
 
     /// The countermeasure-aware composition: like [`Self::run`], but when
@@ -256,21 +238,7 @@ impl ExplFrame {
     /// See [`Self::run`].
     pub fn run_adaptive(&self) -> Result<AttackReport, AttackError> {
         let mut machine = SimMachine::new(self.config.machine.clone());
-        let mut observer = NullObserver;
-        self.run_adaptive_on_traced(&mut machine, &mut observer)
-    }
-
-    /// [`run_adaptive`](Self::run_adaptive) with an [`Observer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_adaptive_traced(
-        &self,
-        observer: &mut dyn Observer,
-    ) -> Result<AttackReport, AttackError> {
-        let mut machine = SimMachine::new(self.config.machine.clone());
-        self.run_adaptive_on_traced(&mut machine, observer)
+        self.drive(&mut machine, &mut NullObserver, Sweep::Adaptive)
     }
 
     /// [`run_adaptive`](Self::run_adaptive) on an existing machine, with an
@@ -284,22 +252,16 @@ impl ExplFrame {
         machine: &mut SimMachine,
         observer: &mut dyn Observer,
     ) -> Result<AttackReport, AttackError> {
-        self.drive(machine, observer, true, None)
+        self.drive(machine, observer, Sweep::Adaptive)
     }
 
-    /// The shared five-phase loop; `adaptive` enables the templating
-    /// escalation, `memo` routes the sweep(s) through a [`TemplateMemo`]
-    /// keyed on the snapshot the machine was forked from. Building the
-    /// pipeline does not touch the machine and templating is the first
-    /// phase, so the fork source *is* the pre-sweep state — keying on it
-    /// lets memo hits compare against the caller's capture by shared
-    /// structure instead of re-snapshotting every trial.
+    /// The shared five-phase loop; `sweep` picks how the templating phase
+    /// runs.
     fn drive(
         &self,
         machine: &mut SimMachine,
         observer: &mut dyn Observer,
-        adaptive: bool,
-        memo: Option<(&MachineSnapshot, &mut TemplateMemo)>,
+        sweep: Sweep<'_>,
     ) -> Result<AttackReport, AttackError> {
         let cfg = &self.config;
         let mut pipe = Pipeline::new(machine, cfg.clone()).with_observer(observer);
@@ -324,21 +286,13 @@ impl ExplFrame {
         let escalate_to = crate::HammerStrategy::ManySided {
             rows: escalate_rows,
         };
-        let pool = match (adaptive, memo) {
+        let pool = match sweep {
+            Sweep::Fixed => pipe.template()?,
+            Sweep::Adaptive => pipe.template_adaptive(escalate_to)?,
             // The probe mutates the machine, so the fork-source snapshot no
             // longer matches — key the memo on a fresh capture instead.
-            (true, Some((pre, memo))) if cfg.probe_mapping => {
-                let _ = pre;
-                pipe.template_adaptive_memo(escalate_to, memo)?
-            }
-            (false, Some((pre, memo))) if cfg.probe_mapping => {
-                let _ = pre;
-                pipe.template_memo(memo)?
-            }
-            (true, Some((pre, memo))) => pipe.template_adaptive_memo_at(pre, escalate_to, memo)?,
-            (true, None) => pipe.template_adaptive(escalate_to)?,
-            (false, Some((pre, memo))) => pipe.template_memo_at(pre, memo)?,
-            (false, None) => pipe.template()?,
+            Sweep::Memo(_, memo) if cfg.probe_mapping => pipe.template_memo(memo)?,
+            Sweep::Memo(pre, memo) => pipe.template_memo_at(pre, memo)?,
         };
         let mut remaining = pipe.select(&pool, cfg.victim);
         if remaining.is_empty() {

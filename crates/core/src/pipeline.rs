@@ -132,16 +132,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 
     /// Runs one phase against this pipeline's context.
-    ///
-    /// This is the single choke point every phase passes through, so it is
-    /// also where the run attributes host wall-clock and machine ops to the
-    /// phase's `perf` key. With the registry disabled (the default) both
-    /// hooks reduce to one relaxed atomic load; perf can never feed back
-    /// into the simulation.
     fn phase<P: Phase>(&mut self, phase: &mut P, input: P::In) -> Result<P::Out, AttackError> {
-        let name = phase.name();
-        let key = phase_perf_key(name);
-        let _timer = perf::scope(key);
         let Pipeline {
             config,
             machine,
@@ -152,8 +143,6 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             counters,
             ..
         } = self;
-        let ops_before = perf::is_enabled().then(|| machine_ops(machine));
-        let sim_before = perf::is_enabled().then(|| machine.now());
         let observer: &mut dyn Observer = match observer {
             Some(o) => &mut **o,
             None => null,
@@ -166,20 +155,7 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             counters,
             keys: *keys,
         };
-        let out = phase.run(&mut ctx, input);
-        if let Some(before) = ops_before {
-            perf::count(key, machine_ops(ctx.machine).saturating_sub(before));
-        }
-        if let Some(before) = sim_before {
-            // Simulated nanoseconds attributed to the phase — with the
-            // timing engine on, this is command-clock time, the per-phase
-            // trajectory the timing campaign records.
-            perf::count(
-                phase_sim_key(name),
-                ctx.machine.now().saturating_sub(before),
-            );
-        }
-        out
+        phase.run(&mut ctx, input)
     }
 
     fn emit(&mut self, event: PhaseEvent) {
@@ -255,13 +231,11 @@ impl<'m, 'o> Pipeline<'m, 'o> {
         pre: &MachineSnapshot,
         memo: &mut TemplateMemo,
     ) -> Result<TemplatePool, AttackError> {
-        let _timer = perf::scope("phase.template");
         debug_assert!(
             self.machine.snapshot() == *pre,
             "caller snapshot must match the machine state at template time"
         );
         if let Some((post, pool)) = memo.lookup(&self.config, self.strategy, pre) {
-            perf::count("phase.template.memo_hits", 1);
             let pool = pool.clone();
             self.machine.restore(post);
             self.counters.templates_found = pool.scan.templates.len();
@@ -286,47 +260,6 @@ impl<'m, 'o> Pipeline<'m, 'o> {
             pool.clone(),
         );
         Ok(pool)
-    }
-
-    /// [`template_adaptive`](Self::template_adaptive) through a
-    /// [`TemplateMemo`]: each of the (up to two) sweeps is memoized
-    /// individually, so an escalating run caches two entries and replays
-    /// both on later trials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Machine`] for substrate failures.
-    pub fn template_adaptive_memo(
-        &mut self,
-        escalate_to: HammerStrategy,
-        memo: &mut TemplateMemo,
-    ) -> Result<TemplatePool, AttackError> {
-        let pre = self.machine.snapshot();
-        self.template_adaptive_memo_at(&pre, escalate_to, memo)
-    }
-
-    /// [`template_adaptive_memo`](Self::template_adaptive_memo) keyed on a
-    /// caller-provided pre-sweep snapshot (see
-    /// [`template_memo_at`](Self::template_memo_at)). Only the first sweep
-    /// uses `pre`; an escalated re-sweep starts from the post-sweep machine
-    /// state, which the caller cannot hold, so it is re-keyed on a fresh
-    /// snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Machine`] for substrate failures.
-    pub fn template_adaptive_memo_at(
-        &mut self,
-        pre: &MachineSnapshot,
-        escalate_to: HammerStrategy,
-        memo: &mut TemplateMemo,
-    ) -> Result<TemplatePool, AttackError> {
-        let pool = self.template_memo_at(pre, memo)?;
-        if !pool.scan.templates.is_empty() || escalate_to == self.strategy {
-            return Ok(pool);
-        }
-        self.escalate(escalate_to);
-        self.template_memo(memo)
     }
 
     /// Adaptive templating: sweep with the current strategy; if the sweep
@@ -630,44 +563,6 @@ impl<'m, 'o> Pipeline<'m, 'o> {
     }
 }
 
-/// Maps a phase's dynamic name onto its static `perf` registry key — the
-/// registry keys by `&'static str`, so the `"phase."` namespace prefix has
-/// to be baked in at compile time.
-fn phase_perf_key(name: &str) -> &'static str {
-    match name {
-        "mapping-probe" => "phase.mapping_probe",
-        "template" => "phase.template",
-        "release" => "phase.release",
-        "steer" => "phase.steer",
-        "hammer" => "phase.hammer",
-        "collect" => "phase.collect",
-        "analyze" => "phase.analyze",
-        _ => "phase.other",
-    }
-}
-
-/// The simulated-time counterpart of [`phase_perf_key`]: the key under
-/// which a phase's simulated-nanosecond consumption is counted.
-fn phase_sim_key(name: &str) -> &'static str {
-    match name {
-        "mapping-probe" => "phase.mapping_probe.sim_ns",
-        "template" => "phase.template.sim_ns",
-        "release" => "phase.release.sim_ns",
-        "steer" => "phase.steer.sim_ns",
-        "hammer" => "phase.hammer.sim_ns",
-        "collect" => "phase.collect.sim_ns",
-        "analyze" => "phase.analyze.sim_ns",
-        _ => "phase.other.sim_ns",
-    }
-}
-
-/// Machine operations attributed to a phase: reads + writes + hammer pairs
-/// (the three op families the hot path is made of).
-fn machine_ops(machine: &SimMachine) -> u64 {
-    let s = machine.stats();
-    s.reads + s.writes + s.hammer_pairs
-}
-
 impl std::fmt::Debug for Pipeline<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
@@ -738,49 +633,6 @@ mod tests {
         // pipeline outcome.
         assert_eq!(trace.events().first().unwrap().name(), "template-started");
         assert_eq!(trace.events().last().unwrap().name(), "pipeline-finished");
-    }
-
-    #[test]
-    fn phases_record_perf_time_and_ops_when_enabled() {
-        use crate::events::PerfObserver;
-
-        // Instrumented run: identical report, populated registry. Other
-        // tests in this binary may run concurrently and also record into
-        // the process-global registry, so assert presence, not totals.
-        let baseline = ExplFrame::new(config(7)).run().expect("baseline");
-        perf::enable();
-        perf::reset();
-        let mut observer = PerfObserver;
-        let instrumented = ExplFrame::new(config(7))
-            .run_traced(&mut observer)
-            .expect("instrumented");
-        let stats: std::collections::BTreeMap<_, _> = perf::snapshot().into_iter().collect();
-        perf::disable();
-
-        assert_eq!(
-            instrumented, baseline,
-            "perf instrumentation changed the run"
-        );
-        for key in [
-            "phase.template",
-            "phase.release",
-            "phase.steer",
-            "phase.hammer",
-            "phase.collect",
-            "phase.analyze",
-        ] {
-            let s = stats.get(key).unwrap_or_else(|| panic!("{key} missing"));
-            assert!(s.calls > 0, "{key} recorded no scope entries");
-        }
-        // The collect phase reads ciphertexts through the machine, so its
-        // op counter (machine reads+writes+hammer_pairs delta) is nonzero.
-        assert!(stats["phase.collect"].ops > 0, "collect counted no ops");
-        // The observer mapped work-carrying events onto `event.*` keys.
-        assert!(stats["event.rows_hammered"].ops > 0);
-        assert_eq!(
-            stats["event.ciphertexts"].ops,
-            baseline.ciphertexts_collected
-        );
     }
 
     #[test]
