@@ -6,9 +6,15 @@
 //! of ticking refresh commands, each disturbance update first checks whether
 //! the row's refresh window advanced since the last update and resets the
 //! counter if so. This is exact and O(1) per update.
+//!
+//! A bulk hammer call lifts its victim rows out of the bank map into a
+//! [`VictimTable`] for the call's duration and writes them back at the end.
+
+use std::sync::Arc;
 
 use perf::FastMap;
 
+use crate::cells::RowEval;
 use crate::timing::{DramTiming, Nanos};
 
 /// Disturbance accumulated by one victim row within its current window.
@@ -16,6 +22,32 @@ use crate::timing::{DramTiming, Nanos};
 struct Disturbance {
     units: u64,
     window: u64,
+}
+
+impl Disturbance {
+    /// Adds `units` in refresh window `window`, first resetting the counter
+    /// if the row was refreshed since the last update.
+    fn add(&mut self, units: u64, window: u64) -> DisturbDelta {
+        if self.window != window {
+            self.units = 0;
+            self.window = window;
+        }
+        let old_units = self.units;
+        self.units = self.units.saturating_add(units);
+        DisturbDelta {
+            old_units,
+            new_units: self.units,
+        }
+    }
+
+    /// The counter as seen in refresh window `window` (0 once refreshed).
+    fn level(&self, window: u64) -> u64 {
+        if self.window == window {
+            self.units
+        } else {
+            0
+        }
+    }
 }
 
 /// Result of adding disturbance to a row: the counter before and after, both
@@ -99,18 +131,10 @@ impl BankState {
         t: Nanos,
         timing: &DramTiming,
     ) -> DisturbDelta {
-        let window = window_index(row, t, timing);
-        let entry = self.disturbance.entry(row).or_default();
-        if entry.window != window {
-            entry.units = 0;
-            entry.window = window;
-        }
-        let old_units = entry.units;
-        entry.units = entry.units.saturating_add(units);
-        DisturbDelta {
-            old_units,
-            new_units: entry.units,
-        }
+        self.disturbance
+            .entry(row)
+            .or_default()
+            .add(units, window_index(row, t, timing))
     }
 
     /// Clears the disturbance of `row` — an `ACT` of a row restores the
@@ -119,23 +143,148 @@ impl BankState {
         self.disturbance.remove(&row);
     }
 
-    /// Shifts the window index of `row`'s tracked disturbance by `delta`
-    /// windows. The bookkeeping half of the bulk-hammer fast-forward: when
-    /// the clock jumps by an exact multiple of the refresh window, a fresh
-    /// entry stays fresh (and a stale one stays stale) only if its window
-    /// index advances by the same amount.
-    pub(crate) fn shift_disturbance_window(&mut self, row: u32, delta: u64) {
-        if let Some(d) = self.disturbance.get_mut(&row) {
-            d.window += delta;
+    /// Current in-window disturbance of `row` at time `t` (0 if refreshed
+    /// since the last update).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn disturbance(&self, row: u32, t: Nanos, timing: &DramTiming) -> u64 {
+        self.disturbance
+            .get(&row)
+            .map_or(0, |d| d.level(window_index(row, t, timing)))
+    }
+}
+
+/// One victim row of a bulk hammer call.
+#[derive(Debug)]
+pub(crate) struct VictimSlot {
+    /// Row index within the hammered bank.
+    pub(crate) row: u32,
+    /// Disturbance units one round of the aggressor pattern adds.
+    units_per_round: u64,
+    /// The row's weak cells, fetched once per call.
+    pub(crate) eval: Arc<RowEval>,
+    /// Refresh-window index of `row` at the table's current time.
+    window: u64,
+    /// End of that window: the next time `row` is refreshed.
+    next_refresh: Nanos,
+    /// The row's disturbance entry; `None` where the bank map has none.
+    entry: Option<Disturbance>,
+}
+
+impl VictimSlot {
+    /// Adds `rounds` rounds of disturbance at the table's current time, as
+    /// [`BankState::add_disturbance`] would.
+    pub(crate) fn add_rounds(&mut self, rounds: u64) -> DisturbDelta {
+        self.entry
+            .get_or_insert_with(Disturbance::default)
+            .add(self.units_per_round * rounds, self.window)
+    }
+}
+
+/// The victim rows of one bulk hammer call, held outside the bank map for
+/// the call's duration.
+///
+/// Between refresh boundaries nothing about a victim changes but its
+/// counter, so the table keeps each row's window index and next refresh
+/// time and recomputes them only when the clock passes that refresh. The
+/// chunk loop then does no map lookups and no window arithmetic.
+/// [`Self::store`] writes the entries back exactly: the bank map ends as
+/// per-row [`BankState::add_disturbance`]/[`BankState::clear_disturbance`]
+/// calls would have left it.
+#[derive(Debug, Default)]
+pub(crate) struct VictimTable {
+    slots: Vec<VictimSlot>,
+}
+
+impl VictimTable {
+    /// Lifts `victims` — `(row, units per round, weak cells)` — out of
+    /// `bank`.
+    pub(crate) fn load(
+        bank: &BankState,
+        victims: impl IntoIterator<Item = (u32, u64, Arc<RowEval>)>,
+    ) -> Self {
+        let slots = victims
+            .into_iter()
+            .map(|(row, units_per_round, eval)| VictimSlot {
+                row,
+                units_per_round,
+                eval,
+                // Stale on purpose: the first `advance_to` computes both.
+                window: 0,
+                next_refresh: 0,
+                entry: bank.disturbance.get(&row).copied(),
+            })
+            .collect();
+        VictimTable { slots }
+    }
+
+    /// True when the call has no victims (every neighbour is an aggressor).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The slots, in victim order.
+    pub(crate) fn slots_mut(&mut self) -> &mut [VictimSlot] {
+        &mut self.slots
+    }
+
+    /// Moves the table's clock to `t` (never earlier than the last call)
+    /// and returns the earliest next refresh of any victim, or `None` for
+    /// an empty table.
+    pub(crate) fn advance_to(&mut self, t: Nanos, timing: &DramTiming) -> Option<Nanos> {
+        let mut earliest: Option<Nanos> = None;
+        for slot in &mut self.slots {
+            if t >= slot.next_refresh {
+                slot.window = window_index(slot.row, t, timing);
+                slot.next_refresh = next_refresh_time(slot.row, t, timing);
+            }
+            earliest = Some(earliest.map_or(slot.next_refresh, |e| e.min(slot.next_refresh)));
+        }
+        earliest
+    }
+
+    /// Each victim's disturbance at the table's current time: the
+    /// fast-forward's periodicity witness.
+    pub(crate) fn levels(&self) -> Vec<u64> {
+        self.slots
+            .iter()
+            .map(|s| s.entry.map_or(0, |d| d.level(s.window)))
+            .collect()
+    }
+
+    /// Refreshes `row` if the table holds it; returns whether it does.
+    pub(crate) fn refresh(&mut self, row: u32) -> bool {
+        match self.slots.iter_mut().find(|s| s.row == row) {
+            Some(slot) => {
+                slot.entry = None;
+                true
+            }
+            None => false,
         }
     }
 
-    /// Current in-window disturbance of `row` at time `t` (0 if refreshed
-    /// since the last update).
-    pub(crate) fn disturbance(&self, row: u32, t: Nanos, timing: &DramTiming) -> u64 {
-        match self.disturbance.get(&row) {
-            Some(d) if d.window == window_index(row, t, timing) => d.units,
-            _ => 0,
+    /// Shifts every entry's window index by `delta` windows: the
+    /// bookkeeping half of the bulk-hammer fast-forward. When the clock
+    /// jumps by an exact multiple of the refresh window, a fresh entry
+    /// stays fresh (and a stale one stays stale) only if its window index
+    /// advances by the same amount.
+    pub(crate) fn shift_windows(&mut self, delta: u64) {
+        for entry in self.slots.iter_mut().filter_map(|s| s.entry.as_mut()) {
+            entry.window += delta;
+        }
+    }
+
+    /// Writes every entry back to `bank`: present ones are inserted,
+    /// refreshed or never-disturbed ones removed.
+    pub(crate) fn store(self, bank: &mut BankState) {
+        for slot in self.slots {
+            match slot.entry {
+                Some(entry) => {
+                    bank.disturbance.insert(slot.row, entry);
+                }
+                None => {
+                    bank.disturbance.remove(&slot.row);
+                }
+            }
         }
     }
 }
@@ -211,6 +360,40 @@ mod tests {
         // ...and a new add starts from zero.
         let d = b.add_disturbance(100, 3, after, &t);
         assert_eq!((d.old_units, d.new_units), (0, 3));
+    }
+
+    #[test]
+    fn victim_table_writes_back_what_per_row_updates_would() {
+        // Rows 10 and 11 carry entries into the call; row 12 starts
+        // absent. The second step lands on row 11's refresh, and its
+        // refresh of row 10 leaves an entry the write-back must remove.
+        let t = timing();
+        let mut held = BankState::default();
+        held.add_disturbance(10, 7, 0, &t);
+        held.add_disturbance(11, 5, 0, &t);
+        let mut direct = held.clone();
+        let eval =
+            crate::cells::WeakCellMap::new(1, crate::WeakCellParams::flippy(), 64).row_eval(0);
+        let rows = [(10u32, 16u64), (11, 1), (12, 17)];
+        let mut table = VictimTable::load(&held, rows.map(|(r, u)| (r, u, Arc::clone(&eval))));
+        let steps = [(1_000, 3, 12), (next_refresh_time(11, 1_000, &t), 1, 10)];
+        for (now, rounds, refreshed) in steps {
+            table.advance_to(now, &t);
+            for (slot, (row, units)) in table.slots_mut().iter_mut().zip(rows) {
+                let (a, b) = (
+                    slot.add_rounds(rounds),
+                    direct.add_disturbance(row, units * rounds, now, &t),
+                );
+                assert_eq!((a.old_units, a.new_units), (b.old_units, b.new_units));
+            }
+            assert!(table.refresh(refreshed));
+            direct.clear_disturbance(refreshed);
+            let levels = rows.map(|(row, _)| direct.disturbance(row, now, &t));
+            assert_eq!(table.levels(), levels);
+        }
+        assert!(!table.refresh(99), "row 99 is no victim");
+        table.store(&mut held);
+        assert_eq!(held, direct);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use crate::bank::{next_refresh_time, BankState};
+use crate::bank::{BankState, VictimTable};
 use crate::cells::{
-    CellPolarity, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
+    CellPolarity, RowEval, WeakCell, WeakCellMap, WeakCellParams, DIST_UNITS_FAR, DIST_UNITS_NEAR,
 };
 use crate::ecc::{decode_secded, EccMode, EccStats, EccTracker, SecdedDecode};
 use crate::error::DramError;
@@ -571,10 +571,12 @@ impl DramDevice {
             // Activating a row restores its own cells' charge.
             self.banks[bank_idx].clear_disturbance(coord.row);
             self.disturb_neighbours(coord, 1);
+            // No bulk call is in flight: every row lives in the bank map.
+            let held = &mut VictimTable::default();
             if let Some(trr) = &mut self.trr {
                 if let Some(row) = trr.record_act(bank_idx, coord.row) {
                     let radius = self.config.trr.map_or(0, |p| p.radius);
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..coord }, radius);
+                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..coord }, radius, held);
                 }
             }
             if self.para.is_some() {
@@ -583,18 +585,19 @@ impl DramDevice {
                     para.advance(1, |_| hit = true);
                 }
                 if hit {
-                    self.refresh_neighbour_rows(bank_idx, coord, 1);
+                    self.refresh_neighbour_rows(bank_idx, coord, 1, held);
                     self.stats.para_refreshes = self.para_refreshes();
                 }
             }
-            let fired = self
+            let mut fired = Vec::new();
+            if self
                 .rfm
                 .as_mut()
-                .and_then(|rfm| rfm.record_acts(bank_idx, &[coord.row], 1));
-            if let Some(rows) = fired {
+                .is_some_and(|rfm| rfm.record_acts(bank_idx, &[coord.row], 1, &mut fired))
+            {
                 let radius = self.config.rfm.map_or(0, |p| p.radius);
-                for row in rows {
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..coord }, radius);
+                for row in fired {
+                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..coord }, radius, held);
                 }
                 self.stats.rfm_commands = self.rfm_commands();
             }
@@ -623,10 +626,23 @@ impl DramDevice {
     }
 
     /// A countermeasure trigger (TRR, PARA or RFM): refresh the rows within
-    /// `radius` of `aggressor`, restoring their leaked charge.
-    fn refresh_neighbour_rows(&mut self, bank_idx: usize, aggressor: DramCoord, radius: u32) {
-        for n in aggressor.neighbour_rows(radius, &self.config.geometry) {
-            self.banks[bank_idx].clear_disturbance(n.row);
+    /// `radius` of `aggressor`, restoring their leaked charge. Rows that
+    /// `held` holds are refreshed there, the rest in the bank map.
+    fn refresh_neighbour_rows(
+        &mut self,
+        bank_idx: usize,
+        aggressor: DramCoord,
+        radius: u32,
+        held: &mut VictimTable,
+    ) {
+        let radius = i64::from(radius);
+        for delta in (-radius..=radius).filter(|&d| d != 0) {
+            let Some(n) = aggressor.neighbour_row(delta, &self.config.geometry) else {
+                continue;
+            };
+            if !held.refresh(n.row) {
+                self.banks[bank_idx].clear_disturbance(n.row);
+            }
         }
     }
 
@@ -655,21 +671,28 @@ impl DramDevice {
         if delta.old_units == delta.new_units {
             return;
         }
-        let row_id = geometry.global_row_id(victim);
-        let row = self.cells.row_eval(row_id);
-        if row.is_empty() || !row.may_cross(delta.old_units, delta.new_units) {
+        let row = self.cells.row_eval(geometry.global_row_id(victim));
+        self.flip_crossed(victim, &row, delta.old_units, delta.new_units);
+    }
+
+    /// Flips every weak cell of `row` (the cells of `victim`'s row) whose
+    /// threshold a disturbance step from `old` to `new` units crossed,
+    /// where the stored bit allows it. The one crossing evaluation behind
+    /// both the per-access and the bulk hammer paths.
+    fn flip_crossed(&mut self, victim: DramCoord, row: &RowEval, old: u64, new: u64) {
+        if row.is_empty() || !row.may_cross(old, new) {
             return;
         }
         let mask = if self.config.reference_kernels {
             None
         } else {
-            row.crossed_mask(delta.old_units, delta.new_units)
+            row.crossed_mask(old, new)
         };
         match mask {
             Some(mask) => {
                 debug_assert_eq!(
                     mask,
-                    row.crossed_mask_scalar(delta.old_units, delta.new_units),
+                    row.crossed_mask_scalar(old, new),
                     "bitsliced crossing mask diverged from the per-cell oracle"
                 );
                 // `trailing_zeros` walks set bits in ascending cell index,
@@ -684,9 +707,7 @@ impl DramDevice {
             }
             None => {
                 for cell in row.cells().iter() {
-                    if delta.old_units < cell.threshold_units
-                        && cell.threshold_units <= delta.new_units
-                    {
+                    if old < cell.threshold_units && cell.threshold_units <= new {
                         self.try_flip(victim, cell);
                     }
                 }
@@ -755,62 +776,18 @@ impl DramDevice {
         if ca.row == cb.row {
             return Err(DramError::AggressorsShareRow { coord: ca });
         }
-        let geometry = self.config.geometry;
-        let timing = self.config.timing;
-
-        // Disturbance received by each victim row per aggressor pair. The
-        // aggressor rows themselves are excluded: every pair re-activates
-        // them, restoring their own charge.
-        let mut victims: Vec<(u32, u64)> = Vec::new();
-        for aggressor in [ca.row, cb.row] {
-            for (delta, units) in [
-                (-2i64, DIST_UNITS_FAR),
-                (-1, DIST_UNITS_NEAR),
-                (1, DIST_UNITS_NEAR),
-                (2, DIST_UNITS_FAR),
-            ] {
-                let row = aggressor as i64 + delta;
-                if row < 0 || row >= geometry.rows as i64 {
-                    continue;
-                }
-                let row = row as u32;
-                if row == ca.row || row == cb.row {
-                    continue;
-                }
-                match victims.iter_mut().find(|(r, _)| *r == row) {
-                    Some((_, u)) => *u += units as u64,
-                    None => victims.push((row, units as u64)),
-                }
-            }
-        }
-        let bank_idx = geometry.bank_index(ca.channel, ca.rank, ca.bank);
-        self.banks[bank_idx].clear_disturbance(ca.row);
-        self.banks[bank_idx].clear_disturbance(cb.row);
-
-        let pair_time = 2 * timing.t_rc;
-        let flips_before = self.flip_log.len();
-        let start = self.now;
-        let fast_forwarded_rounds =
-            self.bulk_rounds(bank_idx, ca, &[ca.row, cb.row], &victims, pairs, pair_time);
-
-        self.banks[bank_idx].set_open_row(cb.row, pairs * 2);
-        self.stats.acts += pairs * 2;
-        self.stats.hammer_pairs += pairs;
-
-        Ok(HammerOutcome {
-            flips: self.flip_log[flips_before..].to_vec(),
-            acts: pairs * 2,
-            elapsed: self.now - start,
-            fast_forwarded_rounds,
-        })
+        Ok(self.hammer_bank_rows(ca, &[ca.row, cb.row], pairs))
     }
 
     /// Many-sided (round-robin) bulk hammering: one round activates the
     /// row containing each aggressor address once, in order, `rounds`
     /// times — the TRRespass-style pattern that overwhelms a sampling
     /// Target-Row-Refresh tracker when the distinct-row count exceeds its
-    /// sampler size. Races refresh (and the TRR engine, when enabled)
-    /// exactly as the per-access path would, in O(boundaries).
+    /// sampler size. Races refresh and every armed countermeasure (TRR,
+    /// PARA, RFM) exactly as the per-access path would: same flips at the
+    /// same times, same countermeasure state, same clock. The cost is
+    /// O(boundaries), where a boundary is a victim refresh or a
+    /// countermeasure trigger.
     ///
     /// `stats().hammer_pairs` advances by `rounds * rows / 2` — the
     /// pair-equivalent activation cost, so hammering budgets stay
@@ -847,64 +824,57 @@ impl DramDevice {
                 return Err(DramError::AggressorsShareRow { coord: *c });
             }
         }
-        let geometry = self.config.geometry;
-        let timing = self.config.timing;
         let agg_rows: Vec<u32> = coords.iter().map(|c| c.row).collect();
+        Ok(self.hammer_bank_rows(first, &agg_rows, rounds))
+    }
 
-        // Disturbance received by each victim row per round; aggressor
-        // rows are excluded (each round re-activates them).
-        let mut victims: Vec<(u32, u64)> = Vec::new();
-        for &aggressor in &agg_rows {
-            for (delta, units) in [
-                (-2i64, DIST_UNITS_FAR),
-                (-1, DIST_UNITS_NEAR),
-                (1, DIST_UNITS_NEAR),
-                (2, DIST_UNITS_FAR),
-            ] {
-                let row = aggressor as i64 + delta;
-                if row < 0 || row >= geometry.rows as i64 {
-                    continue;
-                }
-                let row = row as u32;
-                if agg_rows.contains(&row) {
-                    continue;
-                }
-                match victims.iter_mut().find(|(r, _)| *r == row) {
-                    Some((_, u)) => *u += units as u64,
-                    None => victims.push((row, units as u64)),
-                }
-            }
-        }
-        let bank_idx = geometry.bank_index(first.channel, first.rank, first.bank);
-        for &row in &agg_rows {
+    /// The body of [`Self::hammer_pair`] and [`Self::hammer_rows`] once the
+    /// aggressor set is validated: `rounds` rounds of one ACT per row of
+    /// `agg_rows` (two or more distinct rows) in `template`'s bank.
+    fn hammer_bank_rows(
+        &mut self,
+        template: DramCoord,
+        agg_rows: &[u32],
+        rounds: u64,
+    ) -> HammerOutcome {
+        let geometry = self.config.geometry;
+        let bank_idx = geometry.bank_index(template.channel, template.rank, template.bank);
+        // Every round re-activates the aggressors, restoring their charge.
+        for &row in agg_rows {
             self.banks[bank_idx].clear_disturbance(row);
         }
-
-        let round_time = agg_rows.len() as u64 * timing.t_rc;
         let flips_before = self.flip_log.len();
         let start = self.now;
-        let fast_forwarded_rounds =
-            self.bulk_rounds(bank_idx, first, &agg_rows, &victims, rounds, round_time);
+        let fast_forwarded_rounds = self.bulk_rounds(bank_idx, template, agg_rows, rounds);
 
         let acts = rounds * agg_rows.len() as u64;
         self.banks[bank_idx].set_open_row(*agg_rows.last().expect("two or more rows"), acts);
         self.stats.acts += acts;
         self.stats.hammer_pairs += acts / 2;
-
-        Ok(HammerOutcome {
+        HammerOutcome {
             flips: self.flip_log[flips_before..].to_vec(),
             acts,
             elapsed: self.now - start,
             fast_forwarded_rounds,
-        })
+        }
     }
 
-    /// The chunked disturbance loop shared by the bulk hammer paths:
-    /// `rounds` rounds of one `ACT` per aggressor row (`round_time` ns
-    /// each), racing each victim row's refresh schedule and — when enabled
-    /// — the Target-Row-Refresh tracker, whose trigger times the burst
-    /// planner turns into chunk boundaries so the loop stays
-    /// O(boundaries) instead of O(activations).
+    /// The chunked disturbance loop behind the bulk hammer paths: `rounds`
+    /// rounds of one `ACT` per aggressor row (`agg_rows.len() × tRC` each),
+    /// racing each victim row's refresh schedule and every armed
+    /// countermeasure. A chunk ends at the next victim refresh, the next
+    /// TRR trigger the burst planner predicts, or the round holding the
+    /// next PARA/RFM trigger, so the loop is O(boundaries) instead of
+    /// O(activations), and every trigger refreshes at its round boundary
+    /// exactly as the per-access path would.
+    ///
+    /// The victims — the rows within distance 2 of an aggressor that are
+    /// not aggressors themselves — live in a [`VictimTable`] for the call:
+    /// loaded from the bank map once, touched by the chunks and by
+    /// countermeasure refreshes that hit them, and written back at the
+    /// end. Refreshes of other rows go to the bank map directly. The
+    /// countermeasure hooks drain into buffers owned by the call, so a
+    /// chunk allocates nothing.
     ///
     /// Returns the number of rounds [`Self::hammer_fast_forward`] skipped.
     fn bulk_rounds(
@@ -912,11 +882,42 @@ impl DramDevice {
         bank_idx: usize,
         template: DramCoord,
         agg_rows: &[u32],
-        victims: &[(u32, u64)],
         rounds: u64,
-        round_time: Nanos,
     ) -> u64 {
+        let geometry = self.config.geometry;
         let timing = self.config.timing;
+        let fan = agg_rows.len() as u64;
+        let round_time = fan * timing.t_rc;
+
+        // Disturbance received by each victim row per round; the
+        // aggressor rows are no victims (each round re-activates them).
+        let mut victims: Vec<(u32, u64)> = Vec::new();
+        for &aggressor in agg_rows {
+            for (delta, units) in [
+                (-2i64, DIST_UNITS_FAR),
+                (-1, DIST_UNITS_NEAR),
+                (1, DIST_UNITS_NEAR),
+                (2, DIST_UNITS_FAR),
+            ] {
+                let row = i64::from(aggressor) + delta;
+                if row < 0 || row >= i64::from(geometry.rows) || agg_rows.contains(&(row as u32)) {
+                    continue;
+                }
+                let row = row as u32;
+                match victims.iter_mut().find(|(r, _)| *r == row) {
+                    Some((_, u)) => *u += u64::from(units),
+                    None => victims.push((row, u64::from(units))),
+                }
+            }
+        }
+        let cells = &mut self.cells;
+        let mut table = VictimTable::load(
+            &self.banks[bank_idx],
+            victims.into_iter().map(|(row, units)| {
+                let coord = DramCoord { row, ..template };
+                (row, units, cells.row_eval(geometry.global_row_id(coord)))
+            }),
+        );
 
         // Analytic fast-forward setup. Every chunk advances the clock by a
         // multiple of `round_time` and refresh boundaries repeat every
@@ -933,19 +934,21 @@ impl DramDevice {
         // quiet-period witness cannot cover them — fall back to literal
         // chunking whenever either engine is armed.
         let mut ff_active = !self.config.reference_kernels
-            && !victims.is_empty()
+            && !table.is_empty()
             && self.para.is_none()
             && self.rfm.is_none()
             && rounds >= 3 * rounds_per_period;
-        let fan = agg_rows.len() as u64;
         let (clock_rank, clock_bank) = self.clock_coords(template);
         let mut anchor: Option<Nanos> = None;
         let mut probe: Option<(Vec<u64>, usize)> = None;
+        let mut para_hits: Vec<u64> = Vec::new();
+        let mut rfm_rows: Vec<u32> = Vec::new();
 
         let mut fast_forwarded = 0;
         let mut remaining = rounds;
         while remaining > 0 {
             let t = self.now;
+            let next_refresh = table.advance_to(t, &timing);
             let plan = self
                 .trr
                 .as_ref()
@@ -960,25 +963,21 @@ impl DramDevice {
                     probe = None;
                 } else if let Some(a) = anchor {
                     if t == a + period && probe.is_none() {
-                        probe = Some((
-                            self.victim_disturbances(bank_idx, victims, t, &timing),
-                            self.flip_log.len(),
-                        ));
+                        probe = Some((table.levels(), self.flip_log.len()));
                     } else if t == a + 2 * period {
                         let primed = probe.take();
-                        let v2 = self.victim_disturbances(bank_idx, victims, t, &timing);
+                        let v2 = table.levels();
                         let quiet = matches!(&primed, Some((v1, flips))
                             if *v1 == v2 && self.flip_log.len() == *flips);
                         let q = remaining / rounds_per_period;
                         if quiet && q > 0 {
                             let skipped = self.hammer_fast_forward(
-                                bank_idx,
                                 (clock_rank, clock_bank),
-                                victims,
                                 q,
                                 period,
                                 round_time,
                             );
+                            table.shift_windows(q * (period / w));
                             remaining -= skipped;
                             fast_forwarded += skipped;
                             // The tail is shorter than one period; nothing
@@ -1003,14 +1002,10 @@ impl DramDevice {
             // boundary can coincide with `t` only after the clock lands
             // exactly on it; force progress with at least one round. With
             // no victims (every neighbour is itself an aggressor) nothing
-            // accumulates and only the TRR bound applies.
-            let mut chunk = victims
-                .iter()
-                .map(|&(row, _)| next_refresh_time(row, t, &timing))
-                .min()
-                .map_or(remaining, |boundary| {
-                    remaining.min(((boundary - t) / round_time).max(1))
-                });
+            // accumulates and only the countermeasure bounds apply.
+            let mut chunk = next_refresh.map_or(remaining, |boundary| {
+                remaining.min(((boundary - t) / round_time).max(1))
+            });
             if let Some(Burst::After(n)) = plan {
                 chunk = chunk.min(n);
             }
@@ -1025,13 +1020,15 @@ impl DramDevice {
             if let Some(rfm) = &self.rfm {
                 chunk = chunk.min((rfm.acts_until_rfm(bank_idx) / fan).max(1));
             }
-            for &(row, units_per_round) in victims {
-                let victim = DramCoord {
-                    row,
-                    col: 0,
-                    ..template
-                };
-                self.disturb_row(victim, units_per_round * chunk);
+            for slot in table.slots_mut() {
+                let delta = slot.add_rounds(chunk);
+                if delta.old_units != delta.new_units {
+                    let victim = DramCoord {
+                        row: slot.row,
+                        ..template
+                    };
+                    self.flip_crossed(victim, &slot.eval, delta.old_units, delta.new_units);
+                }
             }
             if let Some(clock) = &mut self.clock {
                 clock.bulk_acts(clock_rank, clock_bank, t, chunk * fan);
@@ -1052,62 +1049,58 @@ impl DramDevice {
                 };
                 let radius = self.config.trr.map_or(0, |p| p.radius);
                 for row in fired {
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, radius);
+                    let aggressor = DramCoord { row, ..template };
+                    self.refresh_neighbour_rows(bank_idx, aggressor, radius, &mut table);
                 }
             }
             // Burst::Never: the sampler state is round-invariant and can
             // never fire for this aggressor set — nothing to advance.
-            if self.para.is_some() {
-                let mut hits: Vec<u64> = Vec::new();
-                if let Some(para) = &mut self.para {
-                    para.advance(chunk * fan, |off| hits.push(off));
-                }
-                for off in hits {
+            if let Some(para) = &mut self.para {
+                para.advance(chunk * fan, |off| para_hits.push(off));
+                for off in para_hits.drain(..) {
                     let row = agg_rows[(off % fan) as usize];
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, 1);
+                    let aggressor = DramCoord { row, ..template };
+                    self.refresh_neighbour_rows(bank_idx, aggressor, 1, &mut table);
                 }
                 self.stats.para_refreshes = self.para_refreshes();
             }
-            let fired = self
+            if self
                 .rfm
                 .as_mut()
-                .and_then(|rfm| rfm.record_acts(bank_idx, agg_rows, chunk));
-            if let Some(rows) = fired {
+                .is_some_and(|rfm| rfm.record_acts(bank_idx, agg_rows, chunk, &mut rfm_rows))
+            {
                 let radius = self.config.rfm.map_or(0, |p| p.radius);
-                for row in rows {
-                    self.refresh_neighbour_rows(bank_idx, DramCoord { row, ..template }, radius);
+                for row in rfm_rows.drain(..) {
+                    let aggressor = DramCoord { row, ..template };
+                    self.refresh_neighbour_rows(bank_idx, aggressor, radius, &mut table);
                 }
                 self.stats.rfm_commands = self.rfm_commands();
             }
         }
+        table.store(&mut self.banks[bank_idx]);
         fast_forwarded
     }
 
     /// Jumps the bulk-hammer clock over `q` whole disturbance periods in
-    /// O(victims) instead of replaying O(q × boundaries) chunks.
+    /// O(1) instead of replaying O(q × boundaries) chunks.
     ///
     /// Sound only when [`Self::bulk_rounds`] has witnessed one full quiet
     /// period (no flips, no TRR trigger, disturbance trajectory repeating):
     /// every skipped cycle then replays the witnessed one exactly, so the
     /// only state that moves is the clock and each victim's refresh-window
-    /// index. `period` is a multiple of the refresh window, so fresh
-    /// entries stay fresh and stale ones stay stale after the shift.
+    /// index, which the caller shifts in its [`VictimTable`]. `period` is
+    /// a multiple of the refresh window, so fresh entries stay fresh and
+    /// stale ones stay stale after the shift.
     ///
     /// Returns the number of rounds skipped.
     fn hammer_fast_forward(
         &mut self,
-        bank_idx: usize,
         (clock_rank, clock_bank): (u32, u32),
-        victims: &[(u32, u64)],
         q: u64,
         period: Nanos,
         round_time: Nanos,
     ) -> u64 {
-        let windows_per_period = period / self.config.timing.refresh_window();
         self.now += q * period;
-        for &(row, _) in victims {
-            self.banks[bank_idx].shift_disturbance_window(row, q * windows_per_period);
-        }
         let skipped = q * (period / round_time);
         if let Some(clock) = &mut self.clock {
             // The skipped cycles replay the witnessed one exactly, so the
@@ -1127,21 +1120,6 @@ impl DramDevice {
             );
         }
         skipped
-    }
-
-    /// Observable per-victim disturbance levels at time `t` — the
-    /// periodicity witness compared across priming cycles.
-    fn victim_disturbances(
-        &self,
-        bank_idx: usize,
-        victims: &[(u32, u64)],
-        t: Nanos,
-        timing: &DramTiming,
-    ) -> Vec<u64> {
-        victims
-            .iter()
-            .map(|&(row, _)| self.banks[bank_idx].disturbance(row, t, timing))
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1727,6 +1705,64 @@ mod tests {
         assert_eq!(bk, sk, "bulk and per-access TRR accounting disagree");
         assert_eq!(bulk.trr_triggers(), step.trr_triggers());
         assert!(bulk.trr_triggers() > 0, "test must exercise triggers");
+    }
+
+    #[test]
+    fn bulk_hammer_rows_matches_per_access_path_under_rfm() {
+        // RFM caps every bulk chunk at the round holding the next trigger,
+        // and its refreshes reach victims the bulk call holds outside the
+        // bank map. The result must equal feeding the engine one ACT at a
+        // time. The victim is row 200: double-sided, then sandwiched with
+        // decoys fanned out every other row. The 4-row sampler forgets the
+        // sandwich, so the 8-sided set flips row 202.
+        let config = DramConfig::small()
+            .with_seed(3)
+            .with_timing_engine(true)
+            .with_rfm(Some(RfmParams {
+                raaimt: 2048,
+                table_size: 4,
+                radius: 2,
+            }));
+        let rounds = 100_000;
+        let run = |rows: &[u32], bulk: bool| {
+            let mut dev = DramDevice::new(config);
+            let row_bytes = dev.config().geometry.row_bytes as u64;
+            for row in 150..260u32 {
+                let addr = dev.mapping().coord_to_phys(coord(0, row, 0));
+                dev.fill(addr, row_bytes, if row % 2 == 0 { 0xFF } else { 0x00 });
+            }
+            let aggressors: Vec<PhysAddr> = rows
+                .iter()
+                .map(|&r| dev.mapping().coord_to_phys(coord(0, r, 0)))
+                .collect();
+            if bulk {
+                dev.hammer_rows(&aggressors, rounds).unwrap();
+            } else {
+                for _ in 0..rounds {
+                    for &a in &aggressors {
+                        dev.access(a);
+                    }
+                }
+            }
+            let mut flips: Vec<_> = dev.flips().iter().map(|f| (f.addr, f.bit)).collect();
+            flips.sort();
+            (flips, dev.rfm_commands(), dev.now())
+        };
+        for rows in [
+            &[199, 201][..],
+            &[199, 201, 197, 203, 195, 205, 193, 207][..],
+        ] {
+            let bulk = run(rows, true);
+            assert_eq!(
+                bulk,
+                run(rows, false),
+                "bulk and per-access RFM accounting disagree on {rows:?}"
+            );
+            assert!(bulk.1 > 0, "RFM never fired");
+            if rows.len() == 8 {
+                assert!(!bulk.0.is_empty(), "the 8-sided set must flip");
+            }
+        }
     }
 
     #[test]

@@ -618,9 +618,20 @@ impl RfmEngine {
 
     /// Records `per_row` ACTs for each of `rows` on `bank`. If the RAA
     /// counter crosses the threshold, an RFM command fires: the sampled
-    /// rows are drained and returned for neighbour refresh, and the counter
-    /// is decremented by the threshold.
-    pub fn record_acts(&mut self, bank: usize, rows: &[u32], per_row: u64) -> Option<Vec<u32>> {
+    /// rows are drained, in sampling order, onto the end of `fired` for
+    /// neighbour refresh, the counter is decremented by the threshold, and
+    /// the call returns `true`. Otherwise `fired` is left untouched and the
+    /// call returns `false`.
+    ///
+    /// `fired` is the caller's: a hammer loop that empties it after each
+    /// trigger reuses one buffer for every RFM command and never allocates.
+    pub fn record_acts(
+        &mut self,
+        bank: usize,
+        rows: &[u32],
+        per_row: u64,
+        fired: &mut Vec<u32>,
+    ) -> bool {
         let table_size = self.params.table_size as usize;
         let state = &mut self.banks[bank];
         for &row in rows {
@@ -635,13 +646,14 @@ impl RfmEngine {
         }
         state.raa += rows.len() as u64 * per_row;
         if state.raa < u64::from(self.params.raaimt) {
-            return None;
+            return false;
         }
         while state.raa >= u64::from(self.params.raaimt) {
             state.raa -= u64::from(self.params.raaimt);
             self.commands += 1;
         }
-        Some(state.rows.drain(..).map(|(row, _)| row).collect())
+        fired.extend(state.rows.drain(..).map(|(row, _)| row));
+        true
     }
 }
 
@@ -845,11 +857,12 @@ mod tests {
         let mut engine = RfmEngine::new(params, 4);
         assert_eq!(engine.acts_until_rfm(2), 100);
         // 49 rounds of two aggressors: 98 ACTs, no trigger.
-        let fired = engine.record_acts(2, &[10, 12], 49);
-        assert!(fired.is_none());
+        let mut fired = Vec::new();
+        assert!(!engine.record_acts(2, &[10, 12], 49, &mut fired));
+        assert!(fired.is_empty());
         assert_eq!(engine.acts_until_rfm(2), 2);
         // One more round crosses the threshold.
-        let fired = engine.record_acts(2, &[10, 12], 1).expect("RFM fires");
+        assert!(engine.record_acts(2, &[10, 12], 1, &mut fired), "RFM fires");
         assert_eq!(fired, vec![10, 12]);
         assert_eq!(engine.commands(), 1);
         // The counter keeps the residue and the table restarts empty.
@@ -866,11 +879,15 @@ mod tests {
             radius: 2,
         };
         let mut engine = RfmEngine::new(params, 1);
+        let mut fired = Vec::new();
         for row in 0..8u32 {
-            assert!(engine.record_acts(0, &[row], 1).is_none());
+            assert!(!engine.record_acts(0, &[row], 1, &mut fired));
         }
         // Force a trigger and observe only the 4 most recent rows survive.
-        let fired = engine.record_acts(0, &[99], 10_000).expect("RFM fires");
+        assert!(
+            engine.record_acts(0, &[99], 10_000, &mut fired),
+            "RFM fires"
+        );
         assert_eq!(fired, vec![5, 6, 7, 99]);
     }
 }
